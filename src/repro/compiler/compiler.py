@@ -137,9 +137,7 @@ def compile_model(
     forwarding = plan_forwarding(
         graph, npu, options, partition, schedule, strata, exec_regions
     )
-    program = lower(
-        graph, npu, options, partition, schedule, strata, forwarding, exec_regions
-    )
+    program = lower(graph, npu, options, schedule, strata, forwarding, exec_regions)
     compiled = CompiledModel(
         graph=graph,
         npu=npu,

@@ -28,7 +28,6 @@ from repro.ir.tensor import Region
 from repro.compiler.allocator import ForwardingPlan, InputDecision, InputMode
 from repro.compiler.options import CompileOptions
 from repro.compiler.program import CommandKind, Program, ProgramBuilder
-from repro.partition.direction import PartitionDirection
 from repro.partition.partitioner import GraphPartition
 from repro.schedule.stratum import StratumPlan
 from repro.schedule.tiling import plan_tiles
@@ -74,7 +73,6 @@ def lower(
     graph: Graph,
     npu: NPUConfig,
     options: CompileOptions,
-    partition: GraphPartition,
     schedule: Sequence[str],
     strata: StratumPlan,
     forwarding: ForwardingPlan,
@@ -101,7 +99,6 @@ def lower(
                 graph,
                 npu,
                 options,
-                partition,
                 forwarding,
                 exec_regions,
                 strata,
@@ -193,7 +190,6 @@ def _emit_sub_layer(
     graph: Graph,
     npu: NPUConfig,
     options: CompileOptions,
-    partition: GraphPartition,
     forwarding: ForwardingPlan,
     exec_regions: Dict[str, Tuple[Region, ...]],
     strata: StratumPlan,
@@ -252,14 +248,12 @@ def _emit_sub_layer(
         # buffer a stratum-top receive still needs.
         resident_bytes = recv_total
 
-    direction = partition.direction(name)
-    prefer_axis = "h" if direction is not PartitionDirection.CHANNEL else "h"
     plan = plan_tiles(
         layer,
         region,
         core,
         npu,
-        prefer_axis=prefer_axis,
+        prefer_axis="h",
         halo_first=options.halo_first,
         halo_at_start=halo_at_start,
         halo_at_end=halo_at_end,

@@ -42,6 +42,12 @@ class CommandKind(enum.Enum):
     HALO_RECV = "halo-recv"
     BARRIER = "barrier"
 
+    #: The engine queue that runs this kind, and whether that queue is a
+    #: DMA engine; attached to every member once, below, so the per-command
+    #: properties are plain attribute reads.
+    engine: "Engine"
+    is_dma: bool
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
@@ -55,6 +61,9 @@ _ENGINE_OF_KIND = {
     CommandKind.HALO_SEND: Engine.STORE,
     CommandKind.BARRIER: Engine.CTRL,
 }
+for _kind, _engine in _ENGINE_OF_KIND.items():
+    _kind.engine = _engine
+    _kind.is_dma = _engine in (Engine.LOAD, Engine.STORE)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,11 +87,11 @@ class Command:
 
     @property
     def engine(self) -> Engine:
-        return _ENGINE_OF_KIND[self.kind]
+        return self.kind.engine
 
     @property
     def is_dma(self) -> bool:
-        return self.engine in (Engine.LOAD, Engine.STORE)
+        return self.kind.is_dma
 
     def __str__(self) -> str:
         payload = (

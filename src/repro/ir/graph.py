@@ -29,6 +29,13 @@ class Layer:
     input_shapes: Tuple[TensorShape, ...]
     output_shape: TensorShape
     dtype: DataType
+    #: Answers of :meth:`input_region`, keyed on the output region's six
+    #: interval bounds plus the input index (plain ints, so the memo never
+    #: keeps a caller's objects alive).  Its lifetime is the layer's, i.e.
+    #: the graph's; it takes no part in init, repr, equality or hashing.
+    _input_regions: Dict[Tuple[int, ...], Region] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def is_input(self) -> bool:
@@ -36,13 +43,26 @@ class Layer:
 
     def input_region(self, out_region: Region, input_index: int) -> Region:
         """Region of input ``input_index`` needed for ``out_region`` of output."""
+        rows, cols, chans = out_region.rows, out_region.cols, out_region.chans
+        key = (
+            rows.start, rows.stop, cols.start, cols.stop, chans.start, chans.stop,
+            input_index,
+        )
+        region = self._input_regions.get(key)
+        if region is not None:
+            return region
         if input_index < 0 or input_index >= len(self.inputs):
             raise GraphError(f"layer {self.name} has no input index {input_index}")
         ishape = self.input_shapes[input_index]
         if isinstance(self.op, Concat):
             offset = self.op.channel_offset(input_index, self.input_shapes)
-            return self.op.input_region_with_offset(out_region, offset, ishape)
-        return self.op.input_region(out_region, input_index, ishape, self.output_shape)
+            region = self.op.input_region_with_offset(out_region, offset, ishape)
+        else:
+            region = self.op.input_region(
+                out_region, input_index, ishape, self.output_shape
+            )
+        self._input_regions[key] = region
+        return region
 
     def macs(self, out_region: Optional[Region] = None) -> int:
         region = Region.full(self.output_shape) if out_region is None else out_region

@@ -118,7 +118,12 @@ class Region:
 
     @property
     def is_empty(self) -> bool:
-        return self.num_elements == 0
+        rows, cols, chans = self.rows, self.cols, self.chans
+        return (
+            rows.stop == rows.start
+            or cols.stop == cols.start
+            or chans.stop == chans.start
+        )
 
     def size_bytes(self, dtype: DataType) -> int:
         return self.num_elements * dtype.size_bytes

@@ -80,6 +80,11 @@ class TilePlan:
         return max((t.weight_band for t in self.tiles), default=-1) + 1
 
 
+def _chunk(total: int, num_tiles: int, alignment: int) -> int:
+    """Aligned piece length when ``total`` is cut into ``num_tiles``."""
+    return align_up(math.ceil(total / num_tiles), alignment)
+
+
 def _split_region(
     out_region: Region, axis: str, num_tiles: int, alignment: int
 ) -> List[Region]:
@@ -90,8 +95,7 @@ def _split_region(
         iv = out_region.chans
     else:
         return [out_region]
-    total = iv.length
-    chunk = align_up(math.ceil(total / num_tiles), alignment)
+    chunk = _chunk(iv.length, num_tiles, alignment)
     pieces: List[Region] = []
     start = iv.start
     while start < iv.stop:
@@ -196,12 +200,18 @@ def _grow_until_fit(
     core: CoreConfig,
     input_stream_mask: Optional[Sequence[bool]],
     stores_output: bool,
-) -> List[Region]:
+) -> Tuple[List[Region], int]:
     """Split into at least ``num_tiles`` pieces, growing the count until
     the *actual* worst tile (halo rows and alignment rounding included)
     fits the double-buffered budget, or the axis runs out of room.
+
+    Returns the split and its worst tile's streamed SPM bytes.  The split
+    depends on the count only through the aligned chunk, so the search
+    jumps from one count straight to the next one that shrinks the chunk;
+    when none does before ``cap``, the split at ``cap`` is the current one.
     """
     num_tiles = max(1, min(num_tiles, cap))
+    total = (out_region.rows if axis == "h" else out_region.chans).length
     while True:
         regions = (
             _split_region(out_region, axis, num_tiles, alignment)
@@ -213,8 +223,13 @@ def _grow_until_fit(
             for r in regions
         )
         if resident_w + 2 * worst <= budget or num_tiles >= cap:
-            return regions
-        num_tiles += 1
+            return regions, worst
+        # Chunks are multiples of ``alignment``: the next distinct one is
+        # ``chunk - alignment``, first reached at ceil(total / that).
+        smaller = _chunk(total, num_tiles, alignment) - alignment
+        if smaller <= 0 or math.ceil(total / smaller) > cap:
+            return regions, worst
+        num_tiles = math.ceil(total / smaller)
 
 
 def plan_tiles(
@@ -285,27 +300,23 @@ def plan_tiles(
             input_stream_mask=input_stream_mask,
             stores_output=stores_output,
         )
-    else:
-        # Overlap heuristic: pipeline only when DMA and compute are within
-        # the same order of magnitude.  DMA time is priced on the dense
-        # bytes the bus actually carries.
-        dma = transfer_cycles(dense_traffic, core, npu)
-        comp = layer_compute_cycles(layer, out_region, core)
-        hi, lo = max(dma, comp), min(dma, comp)
-        beneficial = hi > 0 and lo / hi >= OVERLAP_BENEFIT_THRESHOLD
-        if pipeline_tiles is not None:
-            n_pipe = pipeline_tiles
-        else:
-            n_pipe = PIPELINE_TILES if beneficial else 1
-        alignment = core.spatial_alignment if axis == "h" else core.channel_alignment
-        cap = _axis_capacity(out_region, axis, alignment) if axis != "none" else 1
-        num_tiles = min(max(n_spm, n_pipe), cap)
-        if num_tiles > 1 and axis == "none":
-            num_tiles = 1
 
+    # Overlap heuristic: pipeline only when DMA and compute are within
+    # the same order of magnitude.  DMA time is priced on the dense
+    # bytes the bus actually carries.
+    dma = transfer_cycles(dense_traffic, core, npu)
+    comp = layer_compute_cycles(layer, out_region, core)
+    hi, lo = max(dma, comp), min(dma, comp)
+    beneficial = hi > 0 and lo / hi >= OVERLAP_BENEFIT_THRESHOLD
+    if pipeline_tiles is not None:
+        n_pipe = pipeline_tiles
+    else:
+        n_pipe = PIPELINE_TILES if beneficial else 1
     alignment = core.spatial_alignment if axis == "h" else core.channel_alignment
     cap = _axis_capacity(out_region, axis, alignment) if axis != "none" else 1
-    regions = _grow_until_fit(
+    num_tiles = min(max(n_spm, n_pipe), cap)
+
+    regions, worst = _grow_until_fit(
         layer,
         out_region,
         axis,
@@ -322,10 +333,6 @@ def plan_tiles(
     # The axis ran out of room before the worst tile fit (halo-dominated
     # inputs, coarse alignment): fall back to weight banding or to the
     # input-resident pattern.
-    worst = max(
-        _tile_stream_spm(layer, r, core, input_stream_mask, stores_output)
-        for r in regions
-    )
     if w_bytes + 2 * worst > budget:
         if (
             w_bytes > budget // 2
@@ -530,7 +537,7 @@ def _plan_banded(
         n_rows = max(1, math.ceil(stream / band_budget)) if stream else 1
         cap = _axis_capacity(band, "h", core.spatial_alignment)
         n_rows = min(max(n_rows, 2 if cap >= 2 else 1), cap)
-        row_tiles = _grow_until_fit(
+        row_tiles, _ = _grow_until_fit(
             layer,
             band,
             "h",

@@ -1,7 +1,14 @@
 """Graph construction, validation, queries, and subgraph extraction."""
 
+import dataclasses
+import pickle
+
 import pytest
 
+from repro.analysis.compare import paper_configurations
+from repro.compiler import compile_model
+from repro.compiler.cache import graph_fingerprint
+from repro.hw.presets import exynos2100_like
 from repro.ir import (
     Add,
     Concat,
@@ -15,6 +22,8 @@ from repro.ir import (
     TensorShape,
     Window2D,
 )
+from repro.ir.graph import Layer
+from repro.models import get_model, model_names
 
 
 def small_graph() -> Graph:
@@ -164,3 +173,80 @@ class TestSubgraph:
         g = small_graph()
         sub = g.subgraph(["b", "c"])
         assert sub.total_macs() == g.layer("b").macs() + g.layer("c").macs()
+
+
+class TestInputRegionMemo:
+    """``Layer.input_region`` answers from a per-layer memo; the memo must
+    be invisible: same answers, same errors, same equality and pickling."""
+
+    @pytest.mark.parametrize("model", model_names())
+    def test_warm_memo_matches_uncached(self, model, monkeypatch):
+        graph = get_model(model)
+        asked = set()
+        original = Layer.input_region
+
+        def recording(layer, out_region, input_index):
+            asked.add((layer.name, out_region))
+            return original(layer, out_region, input_index)
+
+        monkeypatch.setattr(Layer, "input_region", recording)
+        npu = exynos2100_like()
+        for options in paper_configurations():
+            compile_model(graph, npu, options)
+        monkeypatch.undo()
+        assert asked
+
+        # The reference is a copy of the layer whose memo is emptied
+        # before every question, so each answer is computed from scratch.
+        fresh = {name: dataclasses.replace(graph.layer(name)) for name, _ in asked}
+        for name, region in sorted(asked, key=repr):
+            layer = graph.layer(name)
+            assert layer._input_regions, name
+            for i in range(len(layer.inputs)):
+                fresh[name]._input_regions.clear()
+                assert layer.input_region(region, i) == fresh[name].input_region(region, i)
+
+    def test_regions_differing_in_one_bound_get_their_own_answers(self):
+        layer = small_graph().layer("b")
+        reference = dataclasses.replace(layer)
+        base = (1, 6, 2, 7, 1, 7)
+        # shrink one bound at a time: starts move up, stops move down
+        variants = [base] + [
+            base[:k] + (base[k] + (-1 if k % 2 else 1),) + base[k + 1:]
+            for k in range(6)
+        ]
+        for r0, r1, c0, c1, h0, h1 in variants:
+            out = Region(Interval(r0, r1), Interval(c0, c1), Interval(h0, h1))
+            reference._input_regions.clear()
+            assert layer.input_region(out, 0) == reference.input_region(out, 0)
+        assert len(layer._input_regions) == len(variants)
+
+    def test_bad_index_raises_with_warm_memo(self):
+        layer = small_graph().layer("d")
+        full = Region.full(layer.output_shape)
+        layer.input_region(full, 0)
+        layer.input_region(full, 1)
+        for _ in range(2):
+            for bad in (-1, 2, 5):
+                with pytest.raises(GraphError):
+                    layer.input_region(full, bad)
+        assert len(layer._input_regions) == 2
+
+    def test_warm_layer_equals_and_hashes_like_fresh(self):
+        layer = small_graph().layer("b")
+        fresh = dataclasses.replace(layer)
+        layer.input_region(Region.full(layer.output_shape), 0)
+        assert layer._input_regions and not fresh._input_regions
+        assert layer == fresh
+        assert hash(layer) == hash(fresh)
+        assert repr(layer) == repr(fresh)
+
+    def test_pickled_graph_stays_equal(self):
+        graph = get_model("MobileNetV2")
+        compile_model(graph, exynos2100_like())
+        clone = pickle.loads(pickle.dumps(graph))
+        assert clone.layers() == graph.layers()
+        assert graph_fingerprint(clone) == graph_fingerprint(graph)
+        last = graph.layers()[-1]
+        out = Region.full(last.output_shape)
+        assert clone.layer(last.name).input_region(out, 0) == last.input_region(out, 0)

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cost.memory import aligned_region_bytes, aligned_weight_bytes
 from repro.hw import tiny_test_machine
-from repro.ir import Conv2D, Graph, Input, Region, TensorShape, Window2D
+from repro.ir import Conv2D, Graph, Input, Interval, Region, TensorShape, Window2D
 from repro.schedule import Tile, order_halo_first, plan_tiles
+from repro.schedule import tiling
 
 
 def conv_layer(h=32, w=32, c_in=8, c_out=16, kernel=3):
@@ -174,3 +175,71 @@ def test_property_tiles_always_cover(h, c_out, spm_kb):
         return  # genuinely cannot fit; acceptable
     tiles_cover(plan, region)
     assert sum(t.macs for t in plan.tiles) == layer.macs()
+
+
+def _stub_footprint(region):
+    """Deterministic, deliberately non-monotonic bytes for one tile."""
+    return sum(
+        iv.length * 5 + (iv.start * 37 + iv.stop * 11) % 53
+        for iv in (region.rows, region.chans)
+    )
+
+
+#: the real splitter, kept before the property test patches in a recorder
+_SPLIT_REGION = tiling._split_region
+
+
+def _linear_grow(out_region, axis, alignment, num_tiles, cap, resident_w, budget):
+    """The plain search: try every tile count in turn."""
+    num_tiles = max(1, min(num_tiles, cap))
+    while True:
+        regions = (
+            _SPLIT_REGION(out_region, axis, num_tiles, alignment)
+            if num_tiles > 1
+            else [out_region]
+        )
+        worst = max(_stub_footprint(r) for r in regions)
+        if resident_w + 2 * worst <= budget or num_tiles >= cap:
+            return regions, worst
+        num_tiles += 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    axis=st.sampled_from(["h", "c"]),
+    offset=st.integers(0, 9),
+    length=st.integers(1, 300),
+    alignment=st.integers(1, 32),
+    start=st.integers(1, 40),
+    cap_extra=st.integers(-40, 8),
+    resident_w=st.integers(0, 200),
+    budget=st.integers(1, 4000),
+)
+def test_property_chunk_skip_matches_linear_search(
+    axis, offset, length, alignment, start, cap_extra, resident_w, budget
+):
+    """Skipping tile counts that keep the aligned chunk picks the same
+    split, with the same worst footprint, as trying every count."""
+    iv = Interval(offset, offset + length)
+    fixed = Interval(0, 7)
+    out_region = Region(iv, fixed, fixed) if axis == "h" else Region(fixed, fixed, iv)
+    capacity = tiling._axis_capacity(out_region, axis, alignment)
+    cap = max(1, capacity + cap_extra)
+    splits = []
+
+    def recording_split(*args):
+        pieces = _SPLIT_REGION(*args)
+        splits.append(tuple(pieces))
+        return pieces
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tiling, "_tile_stream_spm", lambda _l, r, *_: _stub_footprint(r))
+        mp.setattr(tiling, "_split_region", recording_split)
+        got = tiling._grow_until_fit(
+            None, out_region, axis, alignment, start, cap, resident_w, budget,
+            None, None, True,
+        )
+    expected = _linear_grow(out_region, axis, alignment, start, cap, resident_w, budget)
+    assert got == expected
+    # The skipping search never measures the same split twice.
+    assert len(splits) == len(set(splits))
