@@ -11,7 +11,10 @@ and with the repo's infrastructure the search is both *cheap* and
   (:class:`~repro.compiler.cache.ProgramCache`) and simulation by
   :class:`~repro.sim.memo.SimMemo`, so revisited candidates cost a hash
   lookup, and two option sets that lower to the same program share one
-  simulation;
+  simulation; a fresh candidate reuses the per-layer partition and tile
+  decisions of earlier ones (:class:`~repro.compiler.decisions.
+  DecisionMemo`), and a program seen before is not verified or bounded
+  again;
 * safe -- every candidate is statically checked by :mod:`repro.verify`
   before it may be simulated, so an aggressive search cannot crown a
   broken schedule;
@@ -41,18 +44,25 @@ a candidate is its simulated makespan at that same seed.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import random
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+)
 
 from repro.compiler.cache import ProgramCache, options_fingerprint
 from repro.compiler.compiler import CompiledModel
+from repro.compiler.decisions import DecisionMemo
 from repro.compiler.options import CompileOptions
 from repro.hw.config import NPUConfig
 from repro.ir.graph import Graph
 from repro.partition.direction import PartitionDirection
 from repro.partition.heuristics import channel_feasible, spatial_feasible
-from repro.sim.memo import SimMemo
+from repro.sim.memo import SimMemo, program_fingerprint
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.verify.bounds import BoundsReport
 
 #: Sentinel knob value meaning "keep the heuristic decision".
 AUTO = "auto"
@@ -206,6 +216,28 @@ class BudgetExhausted(Exception):
     """Raised by :meth:`Evaluator.evaluate` when the budget is spent."""
 
 
+def verdict_key(compiled: CompiledModel) -> str:
+    """Identity of everything the verifier reads of one compiled model
+    besides its graph and machine: the program's fingerprint plus a
+    digest of the schedule, strata, forwarding plan and exec regions.
+
+    ``options`` is left out because the verifier reads only its label.
+    The dicts are hashed in insertion order, so two keys are equal only
+    when the verifier would walk identical inputs.
+    """
+    forwarding = compiled.forwarding
+    payload = (
+        compiled.schedule,
+        compiled.strata,
+        forwarding.decisions,
+        sorted(forwarding.resident_outputs),
+        forwarding.stores,
+        compiled.exec_regions,
+    )
+    digest = hashlib.sha256(repr(payload).encode()).hexdigest()
+    return f"{program_fingerprint(compiled.program)}-{digest}"
+
+
 @dataclasses.dataclass
 class EvalRecord:
     """One evaluated candidate, in evaluation order."""
@@ -240,6 +272,13 @@ class Evaluator:
     memoized-DSE regime the memo layer exists for.  ``evaluate`` raises
     :class:`BudgetExhausted` once ``budget`` fresh candidates were paid
     for.
+
+    A fresh candidate still pays only for what its pins changed: the
+    evaluator owns a :class:`~repro.compiler.decisions.DecisionMemo` for
+    its (graph, machine), and a verdict table that verifies each
+    distinct compiled model once (keyed by :func:`verdict_key`) and
+    bounds each distinct program once (keyed by its fingerprint).  Both
+    live and die with the evaluator.
     """
 
     def __init__(
@@ -267,8 +306,11 @@ class Evaluator:
         )
         self.prune = prune
         self.verify_passes = tuple(verify_passes) if verify_passes else None
+        self.decisions = DecisionMemo(graph, npu)
         self.trajectory: List[EvalRecord] = []
         self._table: Dict[str, Optional[float]] = {}
+        self._verdicts: Dict[str, bool] = {}
+        self._bounds: Dict[str, "BoundsReport"] = {}
         self.best_options: Optional[CompileOptions] = None
         self.best_latency_us: Optional[float] = None
         self.best_fingerprint: Optional[str] = None
@@ -278,6 +320,8 @@ class Evaluator:
         self.bound_prunes = 0
         self.compile_errors = 0
         self.repeat_hits = 0
+        self.verdict_hits = 0
+        self.bounds_hits = 0
 
     # ------------------------------------------------------------- pipeline
 
@@ -319,7 +363,9 @@ class Evaluator:
             return latency
 
         try:
-            compiled = self.cache.compile(self.graph, self.npu, options)
+            compiled = self.cache.compile(
+                self.graph, self.npu, options, memo=self.decisions
+            )
         except ValueError:
             # A pin drove the lowering somewhere infeasible (e.g. banding
             # cannot split); the candidate simply leaves the space.
@@ -330,8 +376,14 @@ class Evaluator:
         # the static verifier accepts its command stream.
         from repro.verify import verify_model
 
-        report = verify_model(compiled, passes=self.verify_passes)
-        if not report.ok:
+        key = verdict_key(compiled)
+        ok = self._verdicts.get(key)
+        if ok is None:
+            ok = verify_model(compiled, passes=self.verify_passes).ok
+            self._verdicts[key] = ok
+        else:
+            self.verdict_hits += 1
+        if not ok:
             self.verify_rejects += 1
             return record("verify-reject")
 
@@ -341,7 +393,13 @@ class Evaluator:
         # the same argument as the dynamic policy's wave pre-screen.
         from repro.verify.bounds import bounds_for
 
-        bounds = bounds_for(compiled.program, self.npu)
+        program_fp = program_fingerprint(compiled.program)
+        bounds = self._bounds.get(program_fp)
+        if bounds is None:
+            bounds = bounds_for(compiled.program, self.npu)
+            self._bounds[program_fp] = bounds
+        else:
+            self.bounds_hits += 1
         lb_us = bounds.lower_bound_us
         if (
             self.prune

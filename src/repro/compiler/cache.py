@@ -19,13 +19,19 @@ import dataclasses
 import enum
 import hashlib
 import json
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.compiler.compiler import CompiledModel, compile_model
 from repro.compiler.options import CompileOptions
 from repro.hw.config import NPUConfig
-from repro.hw.serialize import machine_to_dict
 from repro.ir.graph import Graph
+from repro.sim.memo import machine_fingerprint
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.compiler.decisions import DecisionMemo
+
+#: attribute under which a graph caches its own fingerprint
+_GRAPH_FP_ATTR = "_fingerprint"
 
 
 def _digest(payload: object) -> str:
@@ -64,8 +70,15 @@ def graph_fingerprint(graph: Graph) -> str:
     """Content hash of a graph: layers, operators, wiring, shapes, dtypes.
 
     Operators are immutable dataclasses, so ``repr`` is a complete and
-    stable description of their parameters.
+    stable description of their parameters.  The digest is cached on the
+    graph under its (name, layer count): a graph only grows through
+    :meth:`~repro.ir.graph.Graph.add` and its layers are frozen, so a
+    rename or an added layer is the only way its content can change.
     """
+    stamp = (graph.name, len(graph))
+    cached = getattr(graph, _GRAPH_FP_ATTR, None)
+    if cached is not None and cached[0] == stamp:
+        return cached[1]
     layers = [
         (
             layer.name,
@@ -76,12 +89,9 @@ def graph_fingerprint(graph: Graph) -> str:
         )
         for layer in graph.layers()
     ]
-    return _digest([graph.name, layers])
-
-
-def machine_fingerprint(npu: NPUConfig) -> str:
-    """Content hash of a machine description."""
-    return _digest(machine_to_dict(npu))
+    digest = _digest([graph.name, layers])
+    setattr(graph, _GRAPH_FP_ATTR, (stamp, digest))
+    return digest
 
 
 def options_fingerprint(options: CompileOptions) -> str:
@@ -146,15 +156,23 @@ class ProgramCache:
         return key, self._entries.get(key)
 
     def compile(
-        self, graph: Graph, npu: NPUConfig, options: CompileOptions
+        self,
+        graph: Graph,
+        npu: NPUConfig,
+        options: CompileOptions,
+        memo: Optional["DecisionMemo"] = None,
     ) -> CompiledModel:
-        """Compile through the cache; hit returns the memoized model."""
+        """Compile through the cache; hit returns the memoized model.
+
+        ``memo`` is handed to :func:`compile_model` on a miss; it never
+        changes the result, so it takes no part in the key.
+        """
         key, cached = self.get(graph, npu, options)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
-        compiled = compile_model(graph, npu, options)
+        compiled = compile_model(graph, npu, options, memo=memo)
         if len(self._entries) >= self.max_entries:
             # FIFO eviction: drop the oldest insertion.
             oldest = next(iter(self._entries))

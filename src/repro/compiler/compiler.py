@@ -9,7 +9,7 @@ planning -> tiling and lowering to per-core command streams.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.hw.config import NPUConfig
 from repro.ir.graph import Graph
@@ -22,6 +22,9 @@ from repro.ir.traversal import breadth_first_order, depth_first_order
 from repro.partition.partitioner import GraphPartition, partition_graph
 from repro.schedule.layer_order import schedule_layers
 from repro.schedule.stratum import StratumPlan, build_strata
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.compiler.decisions import DecisionMemo
 
 
 @dataclasses.dataclass
@@ -96,12 +99,16 @@ def compile_model(
     npu: NPUConfig,
     options: Optional[CompileOptions] = None,
     weight_overrides: Optional[Dict[str, Tuple[float, ...]]] = None,
+    memo: Optional["DecisionMemo"] = None,
 ) -> CompiledModel:
     """Compile ``graph`` for ``npu`` under ``options`` (Base by default).
 
     ``weight_overrides`` feeds measured per-core rates back into the
     balancer (profile-guided rebalancing; see
     :func:`repro.compiler.feedback.profile_guided_rebalance`).
+    ``memo`` (a :class:`~repro.compiler.decisions.DecisionMemo` bound to
+    this graph and machine) lets a search reuse the partition and tile
+    decisions of its earlier candidates; the result is the same.
     """
     options = options or CompileOptions.base()
     graph.validate()
@@ -113,6 +120,7 @@ def compile_model(
         options.enabled_heuristics,
         weight_overrides=weight_overrides,
         direction_overrides=options.direction_override_map() or None,
+        memo=memo,
     )
     if options.schedule_strategy is ScheduleStrategy.DEPTH_FIRST:
         schedule = depth_first_order(graph)
@@ -137,7 +145,9 @@ def compile_model(
     forwarding = plan_forwarding(
         graph, npu, options, partition, schedule, strata, exec_regions
     )
-    program = lower(graph, npu, options, schedule, strata, forwarding, exec_regions)
+    program = lower(
+        graph, npu, options, schedule, strata, forwarding, exec_regions, memo=memo
+    )
     compiled = CompiledModel(
         graph=graph,
         npu=npu,

@@ -19,7 +19,7 @@ work:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cost.memory import aligned_region_bytes, transfer_bytes
 from repro.hw.config import NPUConfig
@@ -31,6 +31,9 @@ from repro.compiler.program import CommandKind, Program, ProgramBuilder
 from repro.partition.partitioner import GraphPartition
 from repro.schedule.stratum import StratumPlan
 from repro.schedule.tiling import plan_tiles
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.compiler.decisions import DecisionMemo
 
 
 def exec_regions_for(
@@ -77,8 +80,15 @@ def lower(
     strata: StratumPlan,
     forwarding: ForwardingPlan,
     exec_regions: Dict[str, Tuple[Region, ...]],
+    memo: Optional["DecisionMemo"] = None,
 ) -> Program:
-    """Emit the full command program for one inference."""
+    """Emit the full command program for one inference.
+
+    ``memo`` (bound to this graph and machine) answers sub-layers tiled
+    before under the same arguments.
+    """
+    if memo is not None:
+        memo.check(graph, npu)
     builder = ProgramBuilder(npu.num_cores)
     state = _LoweringState()
 
@@ -105,6 +115,7 @@ def lower(
                 layer,
                 core,
                 region,
+                memo,
             )
         if forwarding.stores.get(name, False):
             state.unsynced.add(name)
@@ -196,6 +207,7 @@ def _emit_sub_layer(
     layer: Layer,
     core: int,
     region: Region,
+    memo: Optional["DecisionMemo"],
 ) -> None:
     name = layer.name
     core_cfg = npu.core(core)
@@ -248,20 +260,32 @@ def _emit_sub_layer(
         # buffer a stratum-top receive still needs.
         resident_bytes = recv_total
 
-    plan = plan_tiles(
-        layer,
-        region,
-        core,
-        npu,
-        prefer_axis="h",
-        halo_first=options.halo_first,
-        halo_at_start=halo_at_start,
-        halo_at_end=halo_at_end,
-        input_stream_mask=stream_mask,
-        stores_output=stores and not output_resident,
-        resident_bytes=resident_bytes,
-        pipeline_tiles=options.tile_override_map().get(name),
+    streams_store = stores and not output_resident
+    pipeline_tiles = options.tile_override_map().get(name)
+    rows, cols, chans = region.rows, region.cols, region.chans
+    key = (
+        name, rows.start, rows.stop, cols.start, cols.stop, chans.start,
+        chans.stop, core, options.halo_first, halo_at_start, halo_at_end,
+        tuple(stream_mask), streams_store, resident_bytes, pipeline_tiles,
     )
+    plan = memo.tiles.get(key) if memo is not None else None
+    if plan is None:
+        plan = plan_tiles(
+            layer,
+            region,
+            core,
+            npu,
+            prefer_axis="h",
+            halo_first=options.halo_first,
+            halo_at_start=halo_at_start,
+            halo_at_end=halo_at_end,
+            input_stream_mask=stream_mask,
+            stores_output=streams_store,
+            resident_bytes=resident_bytes,
+            pipeline_tiles=pipeline_tiles,
+        )
+        if memo is not None:
+            memo.tiles[key] = plan
 
     # --- kernel loads ------------------------------------------------------
     # One load per weight band (normally a single band covering the whole
@@ -345,7 +369,6 @@ def _emit_sub_layer(
 
     # --- tile pipeline ------------------------------------------------------
     any_stream = any(stream_mask[i] for i in range(len(layer.inputs)))
-    streams_store = stores and not output_resident
 
     # Input-resident plans load the whole streamed input once; the tiles
     # then only stream weights and outputs.
@@ -376,6 +399,8 @@ def _emit_sub_layer(
     store_cids: List[Optional[int]] = []
     sent = False
     covered_sends: Set[int] = set()
+    produced = 0
+    total = sum(r.num_elements for r in send_regions)
 
     multi_band = plan.num_weight_bands > 1
     for k, tile in enumerate(plan.tiles):
@@ -459,16 +484,12 @@ def _emit_sub_layer(
         # Track which send-region tiles have computed; emit the halo send
         # as soon as the last contributor is in flight.
         if send_bytes > 0 and not sent:
-            if any(
-                not tile.out_region.intersect(r).is_empty for r in send_regions
-            ):
-                covered_sends.add(compute_cid)
-            produced = sum(
-                t.out_region.intersect(r).num_elements
-                for t in plan.tiles[: k + 1]
-                for r in send_regions
+            overlap = sum(
+                tile.out_region.intersect(r).num_elements for r in send_regions
             )
-            total = sum(r.num_elements for r in send_regions)
+            if overlap:
+                covered_sends.add(compute_cid)
+            produced += overlap
             if produced >= total:
                 send_cid = builder.add(
                     core,

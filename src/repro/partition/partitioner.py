@@ -7,7 +7,7 @@ for "which core owns which piece of which tensor".
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple
 
 from repro.hw.config import NPUConfig
 from repro.ir.graph import Graph, Layer
@@ -27,6 +27,9 @@ from repro.partition.slicer import (
     output_regions,
     validate_partition_covers_output,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.compiler.decisions import DecisionMemo
 
 
 def _fastest_core(npu: NPUConfig) -> int:
@@ -163,25 +166,38 @@ def partition_graph(
     enabled_heuristics: FrozenSet[str] = ALL_HEURISTICS,
     weight_overrides: Optional[Dict[str, Tuple[float, ...]]] = None,
     direction_overrides: Optional[Dict[str, PartitionDirection]] = None,
+    memo: Optional["DecisionMemo"] = None,
 ) -> GraphPartition:
     """Partition every layer of ``graph`` under ``policy``.
 
     ``weight_overrides`` maps layer names to measured per-core rate
     weights, replacing the analytical balance for those layers.
     ``direction_overrides`` pins the partition direction of individual
-    layers where feasible (the autotuner's first knob axis).
+    layers where feasible (the autotuner's first knob axis).  ``memo``
+    (bound to this graph and machine) answers layers partitioned before
+    under the same arguments.
     """
     graph.validate()
+    if memo is not None:
+        memo.check(graph, npu)
     overrides = weight_overrides or {}
     pins = direction_overrides or {}
     layers: Dict[str, LayerPartition] = {}
     for layer in graph.layers():
-        layers[layer.name] = partition_layer(
-            layer,
-            npu,
-            policy,
-            enabled_heuristics,
-            weight_override=overrides.get(layer.name),
-            direction_override=pins.get(layer.name),
-        )
+        weight = overrides.get(layer.name)
+        pin = pins.get(layer.name)
+        key = (layer.name, policy, enabled_heuristics, weight, pin)
+        part = memo.partitions.get(key) if memo is not None else None
+        if part is None:
+            part = partition_layer(
+                layer,
+                npu,
+                policy,
+                enabled_heuristics,
+                weight_override=weight,
+                direction_override=pin,
+            )
+            if memo is not None:
+                memo.partitions[key] = part
+        layers[layer.name] = part
     return GraphPartition(graph=graph, npu=npu, policy=policy, layers=layers)

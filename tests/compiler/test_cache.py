@@ -1,5 +1,9 @@
 """Fingerprint-keyed program cache: keys, hits, eviction, correctness."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from repro.compiler import (
@@ -13,6 +17,10 @@ from repro.compiler import (
     options_fingerprint,
 )
 from repro.hw import tiny_test_machine
+from repro.hw.presets import exynos2100_like
+from repro.hw.serialize import machine_to_dict
+from repro.ir import Conv2D, Window2D
+from repro.models import get_model
 
 from tests.conftest import make_chain_graph, make_mixed_graph
 
@@ -34,6 +42,41 @@ class TestFingerprints:
         assert graph_fingerprint(make_chain_graph(h=40)) != graph_fingerprint(
             make_chain_graph(h=48)
         )
+
+    def test_cached_graph_fingerprint_equals_cold(self):
+        """The digest cached on a graph is what a cold graph hashes to,
+        including after the graph grows or is renamed."""
+        g = make_chain_graph()
+        assert graph_fingerprint(g) == graph_fingerprint(g)
+        assert graph_fingerprint(g) == graph_fingerprint(make_chain_graph())
+        conv = Conv2D(out_channels=8, in_channels=24, window=Window2D.square(1))
+        grown = make_chain_graph()
+        grown.add("c4", conv, ["c3"])
+        g.add("c4", conv, ["c3"])
+        assert graph_fingerprint(g) == graph_fingerprint(grown)
+        assert graph_fingerprint(g) != graph_fingerprint(make_chain_graph())
+        g.name = grown.name = "renamed"
+        assert graph_fingerprint(g) == graph_fingerprint(grown)
+        cold = make_chain_graph()
+        cold.add("c4", conv, ["c3"])
+        cold.name = "renamed"
+        assert graph_fingerprint(g) == graph_fingerprint(cold)
+
+    @pytest.mark.parametrize("model", ["MobileNetV2", "UNet", "InceptionV3"])
+    def test_cached_zoo_fingerprint_equals_cold(self, model):
+        graph = get_model(model)
+        warm = graph_fingerprint(graph)
+        assert graph_fingerprint(graph) == warm == graph_fingerprint(get_model(model))
+
+    def test_cached_machine_fingerprint_equals_uncached_digest(self):
+        """Cached per machine, and still the digest the cache always keyed
+        on, so compile keys are unchanged."""
+        for npu in (tiny_test_machine(2), tiny_test_machine(3), exynos2100_like()):
+            text = json.dumps(machine_to_dict(npu), sort_keys=True, default=repr)
+            uncached = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            assert machine_fingerprint(npu) == uncached
+            assert machine_fingerprint(npu) == uncached
+            assert machine_fingerprint(dataclasses.replace(npu)) == uncached
 
     def test_machine_fingerprint_sensitive_to_cores(self):
         assert machine_fingerprint(tiny_test_machine(2)) != machine_fingerprint(
