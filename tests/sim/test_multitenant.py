@@ -286,3 +286,34 @@ class TestAutoAssign:
         ]
         with pytest.raises(ValueError):
             auto_assign(npu, tenants)
+
+
+#: Merged-program fingerprints of fleet wave shapes (MobileNetV2 and
+#: InceptionV3 on core groups of exynos2100, the fleet benchmark's mix):
+#: merging must relabel ids, cores and layers exactly as it always has.
+FLEET_WAVE_GOLDEN = {
+    (("MobileNetV2", (0, 1)), ("MobileNetV2", (2,))):
+        "885bb7843d3237af12da37f65c0704f6928691bc82de80556e275519900dcba7",
+    (("MobileNetV2", (0,)), ("MobileNetV2", (1,)), ("InceptionV3", (2,))):
+        "bd0e6ef64f14d67528d3c56b1310c90c38c8b8ab76e5cd02bec909c3f82e2d05",
+    (("MobileNetV2", (0,)), ("InceptionV3", (1, 2))):
+        "21508291c1c32ed0c18f80b8a27cd61978ac1afdaef7b149eb730434d35e524f",
+    (("InceptionV3", (0, 1)), ("InceptionV3", (2,))):
+        "a2e4271b58b2d84b0ff4df78eaacb4f96136f33f1835f98e5b291dc5112ae7ed",
+    (("InceptionV3", (0,)), ("MobileNetV2", (1,)), ("InceptionV3", (2,))):
+        "6936094c05e355122b5ad85baef620fe8e46859bc6fa35eb84a7a9f867dd93c2",
+    (("InceptionV3", (0, 2)),):
+        "9a1592c693bf5dd46b88e994b6eecf53ea2699ef11e56b8ce05e828e392c47cc",
+    (("MobileNetV2", (2,)),):
+        "da351e61a4309532f38865822529429021203f08378992de8e08bba759311977",
+}
+
+
+def test_fleet_wave_merges_are_pinned():
+    from repro.hw import exynos2100_like
+    from repro.serve.predictor import LatencyPredictor
+    from repro.sim.memo import program_fingerprint
+
+    predictor = LatencyPredictor(exynos2100_like(), seed=0, memo=None)
+    for pattern, expected in FLEET_WAVE_GOLDEN.items():
+        assert program_fingerprint(predictor.merged_for(pattern)) == expected, pattern
