@@ -9,9 +9,10 @@ Two consumers share the longest-path machinery here:
   resulting chain is the critical path -- shortening anything off it
   cannot improve the makespan.
 * **static mode** (:func:`longest_path_times`) runs the same DAG
-  forward with *analytic* durations and no simulation at all; the
-  bounds pass (:mod:`repro.verify.bounds`) uses it to compute latency
-  brackets and their binding chains.
+  forward with *analytic* durations and no simulation at all.  The
+  bounds pass (:mod:`repro.verify.bounds`) runs that recurrence over
+  the simulator plan and then derives bindings only along the one
+  chain it reports (:func:`binding_chain`), by the same rule.
 
 Both modes resolve ties identically: when several predecessors end
 within ``_EPS`` of a command's start, a dependency edge wins over the
@@ -113,13 +114,44 @@ def longest_path_times(
             start = finishes[p]
         starts[cid] = start
         finishes[cid] = start + durations[cid]
-        if start > _EPS:
-            dep = _bind_dep([(finishes[d], d) for d in cmd.deps], start)
-            if dep is not None:
-                bindings[cid] = (dep, "dep")
-            elif p >= 0 and abs(finishes[p] - start) <= _EPS:
-                bindings[cid] = (p, "engine")
+        bindings[cid] = _binding(cmd.deps, p, finishes, start)
     return starts, finishes, bindings
+
+
+def _binding(
+    deps: Sequence[int], engine_prev: int, finishes: Sequence[float], start: float
+) -> Tuple[int, str]:
+    """``(predecessor cid or -1, bound_by)`` of a command starting at
+    ``start``, by the deterministic tie-break rule of this module."""
+    if start > _EPS:
+        dep = _bind_dep([(finishes[d], d) for d in deps], start)
+        if dep is not None:
+            return dep, "dep"
+        if engine_prev >= 0 and abs(finishes[engine_prev] - start) <= _EPS:
+            return engine_prev, "engine"
+    return -1, "ready"
+
+
+def binding_chain(
+    deps_of: Sequence[Sequence[int]],
+    engine_prev: Sequence[int],
+    starts: Sequence[float],
+    finishes: Sequence[float],
+    last: int,
+) -> List[Tuple[int, str]]:
+    """The binding chain from ``last``, derived only along the chain.
+
+    Equals ``walk_bindings(longest_path_times(...)[2], last)`` for the
+    same longest-path ``starts`` / ``finishes``, without computing a
+    binding for every command off the chain.
+    """
+    chain: List[Tuple[int, str]] = []
+    cur = last
+    while cur >= 0:
+        pred, bound_by = _binding(deps_of[cur], engine_prev[cur], finishes, starts[cur])
+        chain.append((cur, bound_by))
+        cur = pred
+    return chain
 
 
 def walk_bindings(

@@ -116,12 +116,16 @@ def merge_programs(
             raise ValueError(f"tenant {name!r}: core map too small")
         for cmd in program.commands:
             commands.append(
-                dataclasses.replace(
-                    cmd,
-                    cid=cmd.cid + offset,
-                    core=core_map[cmd.core],
-                    deps=tuple(d + offset for d in cmd.deps),
-                    layer=f"{name}/{cmd.layer}" if cmd.layer else name,
+                Command(
+                    cmd.cid + offset,
+                    core_map[cmd.core],
+                    cmd.kind,
+                    tuple([d + offset for d in cmd.deps]),
+                    cmd.num_bytes,
+                    cmd.macs,
+                    cmd.cycles,
+                    f"{name}/{cmd.layer}" if cmd.layer else name,
+                    cmd.tag,
                 )
             )
         offset += len(program.commands)

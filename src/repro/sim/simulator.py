@@ -54,21 +54,30 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import operator
 import random
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compiler.program import CommandKind, Engine, Program
+from repro.compiler.program import (
+    ENGINES,
+    IS_DMA_KIND,
+    KINDS,
+    Command,
+    CommandKind,
+    Program,
+    ProgramIndex,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.plan import FaultPlan, FaultStats
-from repro.cost.compute import compute_cycles
+from repro.cost.compute import OP_LAUNCH_CYCLES
 from repro.hw.config import NPUConfig
 from repro.sim import bus as bus_mod
 from repro.sim import memo as memo_mod
 from repro.sim.memo import USE_DEFAULT_MEMO, SimMemo
-from repro.sim.trace import Trace, TraceColumns
+from repro.sim.trace import STATIC_FIELDS, Trace, TraceColumns
 
 _EPS = 1e-9
 
@@ -92,6 +101,9 @@ _PLAN_ATTR = "_sim_plans"
 
 #: per-plan jitter tables kept per seed (serving sweeps reuse few seeds)
 _DELAY_CACHE_LIMIT = 64
+
+#: kind codes of the commands that draw halo-rendezvous jitter
+_HALO_CODES = (CommandKind.HALO_SEND.code, CommandKind.HALO_RECV.code)
 
 
 @dataclasses.dataclass
@@ -118,13 +130,19 @@ class SimResult:
 class _SimPlan:
     """Seed-independent scheduling state for one (program, machine) pair.
 
-    Everything here is derived from the command list and the machine
-    description only: flattened engine queues, the reverse-dependency
-    index, outstanding-dependency counts, fixed durations and DMA link
-    caps, plus the flattened (CSR-style) dependency index the columnar
-    trace derivation reduces over.  Per-seed jitter tables are layered
-    on top by :meth:`delays_for` and cached, since serving and sweep
-    workloads revisit a handful of seeds.
+    Everything here is derived from the program's
+    :class:`~repro.compiler.program.ProgramIndex` and the machine
+    description only, with array operations: engine queues numbered by
+    first appearance, the reverse-dependency index, outstanding-
+    dependency counts, fixed durations and DMA link caps, plus the
+    flattened (CSR-style) dependency index the columnar trace
+    derivation reduces over.  The bounds analysis
+    (:mod:`repro.verify.bounds`) reads the same queues, edges and base
+    delays, so both price a command from one definition.  Per-seed
+    jitter tables are layered on top by :meth:`delays_for` and cached,
+    since serving and sweep workloads revisit a handful of seeds.  A
+    plan holds no reference to its program (programs cache their plans,
+    and a cycle would outlive its last user until a full collection).
     """
 
     __slots__ = (
@@ -134,7 +152,6 @@ class _SimPlan:
         "qlen",
         "qid_of",
         "deps_of",
-        "own_deps_of",
         "consumers",
         "indeg0",
         "base_delay",
@@ -144,7 +161,6 @@ class _SimPlan:
         "num_bytes_f",
         "uniform_dma_cap",
         "jittered",
-        "trace_fields",
         "prev_q",
         "prev_np",
         "dep_flat",
@@ -153,138 +169,161 @@ class _SimPlan:
         "own_flat",
         "own_starts",
         "own_cids",
-        "protos",
+        "kind_codes",
         "static_cols",
+        "_own_deps_of",
+        "_protos",
         "_delay_cache",
     )
 
-    def __init__(self, program: Program, npu: NPUConfig) -> None:
-        commands = program.commands
-        total = len(commands)
+    def __init__(self, index: ProgramIndex, commands: Sequence[Command], npu: NPUConfig) -> None:
+        total = index.num_commands
         self.total = total
+        kind = index.kind
+        core = index.core
+        self.kind_codes = kind
 
-        queues: Dict[Tuple[int, Engine], List[int]] = {}
-        qid_of_key: Dict[Tuple[int, Engine], int] = {}
-        self.qid_of = qid_of = [0] * total
-        for cmd in commands:
-            key = (cmd.core, cmd.engine)
-            qid = qid_of_key.get(key)
-            if qid is None:
-                qid = len(qid_of_key)
-                qid_of_key[key] = qid
-                queues[key] = []
-            queues[key].append(cmd.cid)
-            qid_of[cmd.cid] = qid
-        self.nq = len(qid_of_key)
-        self.qcids = [queues[key] for key in qid_of_key]
-        self.qlen = [len(cids) for cids in self.qcids]
+        # Engine queues, numbered by first appearance of (core, engine);
+        # a stable sort on queue id lists each queue in program order.
+        key = core * len(ENGINES) + index.engine
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        rank = np.empty(len(first), dtype=np.intp)
+        rank[np.argsort(first)] = np.arange(len(first))
+        qid = rank[inverse.reshape(-1)]
+        self.nq = nq = len(first)
+        order = np.argsort(qid, kind="stable")
+        qlen = np.bincount(qid, minlength=nq)
+        qptr = np.concatenate(([0], np.cumsum(qlen))).tolist()
+        order_l = order.tolist()
+        self.qcids = [order_l[a:b] for a, b in zip(qptr, qptr[1:])]
+        self.qlen = qlen.tolist()
+        self.qid_of = qid.tolist()
 
         #: in-queue predecessor of each command (-1 for queue heads);
         #: lets the trace pass reconstruct engine-free times post-run.
-        self.prev_q = prev_q = [-1] * total
-        for cids in self.qcids:
-            for i in range(1, len(cids)):
-                prev_q[cids[i]] = cids[i - 1]
+        prev = np.full(total, -1, dtype=np.intp)
+        if total > 1:
+            same = qid[order[1:]] == qid[order[:-1]]
+            prev[order[1:][same]] = order[:-1][same]
+        self.prev_np = prev
+        self.prev_q = prev.tolist()
 
-        self.deps_of = deps_of = [()] * total
-        self.own_deps_of = own_deps_of = [()] * total
-        self.consumers = consumers = [[] for _ in range(total)]
-        self.indeg0 = indeg0 = [0] * total
-        self.base_delay = base_delay = [0.0] * total
-        self.evkind = evkind = [_END] * total
-        self.dma_cap = dma_cap = [0.0] * total
-        self.num_bytes = num_bytes = [0] * total
-        self.num_bytes_f = num_bytes_f = [0.0] * total
-        #: (cid, jitter bound) for commands that draw service-time jitter
-        self.jittered: List[Tuple[int, float]] = []
-        trace_fields: List[Tuple] = [()] * total
-        self.trace_fields = trace_fields
-        self._delay_cache: Dict[int, List[float]] = {}
-
-        sync_bound = npu.sync_jitter_cycles
-        halo_bound = npu.halo_jitter_cycles
-        dram_latency = npu.dram_latency_cycles
-
-        for cmd in commands:
-            cid = cmd.cid
-            deps_of[cid] = cmd.deps
-            own_deps_of[cid] = tuple(
-                d for d in cmd.deps if commands[d].core == cmd.core
-            )
-            for dep in set(cmd.deps):
-                consumers[dep].append(cid)
-                indeg0[cid] += 1
-            kind = cmd.kind
-            if kind is CommandKind.COMPUTE:
-                base_delay[cid] = compute_cycles(cmd.macs, npu.core(cmd.core))
-            elif kind is CommandKind.BARRIER:
-                base_delay[cid] = cmd.cycles
-                if sync_bound > 0:
-                    self.jittered.append((cid, sync_bound))
-            else:  # DMA: fixed first-byte latency (plus command-specific
-                # setup like the halo-exchange rendezvous), then the bus.
-                base_delay[cid] = dram_latency + cmd.cycles
-                if kind in (CommandKind.HALO_SEND, CommandKind.HALO_RECV):
-                    if halo_bound > 0:
-                        self.jittered.append((cid, halo_bound))
-                if cmd.num_bytes > 0:
-                    evkind[cid] = _JOIN_BUS
-                dma_cap[cid] = npu.core(cmd.core).dma_bytes_per_cycle
-                num_bytes[cid] = cmd.num_bytes
-                num_bytes_f[cid] = float(cmd.num_bytes)
-            trace_fields[cid] = (
-                cid,
-                cmd.core,
-                cmd.engine,
-                kind,
-                cmd.layer,
-                cmd.tag,
-                cmd.num_bytes,
-                cmd.macs,
-            )
-        #: True when every bus-joining transfer has the same DMA link cap
-        #: (homogeneous machines): the water-filling sort is then the
-        #: identity permutation and the hot loop skips it outright.
-        self.uniform_dma_cap = (
-            len({dma_cap[cid] for cid in range(total) if evkind[cid]}) <= 1
-        )
-        #: per-command static TraceEvent fields as prototype dicts; trace
-        #: materialization copies one and fills the four timing fields.
-        names = ("cid", "core", "engine", "kind", "layer", "tag", "num_bytes", "macs")
-        self.protos = [dict(zip(names, tf)) for tf in trace_fields]
-        #: the same fields as per-cid columns, for columnar gathers
-        self.static_cols = {
-            name: [tf[i] for tf in trace_fields] for i, name in enumerate(names)
-        }
+        # Dependencies: the index's CSR rows; consumers are the same
+        # edges grouped by dependency (stable, so ascending consumer id).
+        ptr = index.dep_ptr
+        flat = index.dep_flat
+        counts = np.diff(ptr)
+        self.deps_of = list(map(operator.attrgetter("deps"), commands))
+        self.indeg0 = counts.tolist()
+        row = np.repeat(np.arange(total), counts)
+        by_dep = row[np.argsort(flat, kind="stable")].tolist()
+        cptr = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=total)))).tolist()
+        self.consumers = [by_dep[a:b] for a, b in zip(cptr, cptr[1:])]
 
         # Flattened dependency index (CSR layout, non-empty rows only):
         # the post-run readiness derivation reduces completion times over
         # these segments with ``np.maximum.reduceat`` instead of a
-        # per-command Python scan.
-        dep_flat: List[int] = []
-        dep_starts: List[int] = []
-        dep_cids: List[int] = []
-        own_flat: List[int] = []
-        own_starts: List[int] = []
-        own_cids: List[int] = []
-        for cid in range(total):
-            ds = deps_of[cid]
-            if ds:
-                dep_starts.append(len(dep_flat))
-                dep_cids.append(cid)
-                dep_flat.extend(ds)
-            own = own_deps_of[cid]
-            if own:
-                own_starts.append(len(own_flat))
-                own_cids.append(cid)
-                own_flat.extend(own)
-        self.dep_flat = np.array(dep_flat, dtype=np.intp)
-        self.dep_starts = np.array(dep_starts, dtype=np.intp)
-        self.dep_cids = np.array(dep_cids, dtype=np.intp)
-        self.own_flat = np.array(own_flat, dtype=np.intp)
-        self.own_starts = np.array(own_starts, dtype=np.intp)
-        self.own_cids = np.array(own_cids, dtype=np.intp)
-        self.prev_np = np.array(prev_q, dtype=np.intp)
+        # per-command Python scan.  Same-core deps get their own index.
+        nonempty = counts > 0
+        self.dep_flat = flat
+        self.dep_starts = ptr[:-1][nonempty]
+        self.dep_cids = np.flatnonzero(nonempty)
+        own = core[flat] == core[row]
+        own_counts = np.bincount(row[own], minlength=total)
+        nonempty = own_counts > 0
+        self.own_flat = flat[own]
+        self.own_starts = (np.cumsum(own_counts) - own_counts)[nonempty]
+        self.own_cids = np.flatnonzero(nonempty)
+        self._own_deps_of: Optional[List[Tuple[int, ...]]] = None
+
+        # Durations: compute from the cost model, barriers their fixed
+        # cycles, DMA a fixed first-byte latency (plus command-specific
+        # setup like the halo-exchange rendezvous) before the bus --
+        # the float operations of ``compute_cycles`` and ``latency +
+        # cycles``, elementwise.
+        cores = npu.cores
+        macs = index.macs
+        cycles = index.cycles
+        compute = kind == CommandKind.COMPUTE.code
+        barrier = kind == CommandKind.BARRIER.code
+        dma = IS_DMA_KIND[kind]
+        compute_d = macs / np.array([c.effective_macs_per_cycle for c in cores])[core]
+        compute_d = np.where(macs > 0, compute_d + OP_LAUNCH_CYCLES, compute_d)
+        base = np.where(
+            compute, compute_d, np.where(barrier, cycles, npu.dram_latency_cycles + cycles)
+        )
+        self.base_delay = base.tolist()
+        joins = dma & (index.num_bytes > 0)
+        self.evkind = np.where(joins, _JOIN_BUS, _END).tolist()
+        cap = np.where(dma, np.array([c.dma_bytes_per_cycle for c in cores])[core], 0.0)
+        self.dma_cap = cap.tolist()
+        # Non-DMA commands carry no bytes (validated), so the per-command
+        # byte list doubles as the trace's static column.
+        self.num_bytes = index.num_bytes.tolist()
+        self.num_bytes_f = index.num_bytes.astype(np.float64).tolist()
+        #: True when every bus-joining transfer has the same DMA link cap
+        #: (homogeneous machines): the water-filling sort is then the
+        #: identity permutation and the hot loop skips it outright.
+        join_caps = cap[joins]
+        self.uniform_dma_cap = bool((join_caps == join_caps[:1]).all())
+
+        #: (cid, jitter bound) for commands that draw service-time jitter
+        sync_bound = npu.sync_jitter_cycles
+        halo_bound = npu.halo_jitter_cycles
+        jittery = np.zeros(total, dtype=bool)
+        if sync_bound > 0:
+            jittery |= barrier
+        if halo_bound > 0:
+            jittery |= np.isin(kind, _HALO_CODES)
+        barrier_code = CommandKind.BARRIER.code
+        self.jittered: List[Tuple[int, float]] = [
+            (cid, sync_bound if k == barrier_code else halo_bound)
+            for cid, k in zip(np.flatnonzero(jittery).tolist(), kind[jittery].tolist())
+        ]
+        self._delay_cache: Dict[int, List[float]] = {}
+
+        #: per-cid static TraceEvent fields, for columnar gathers
+        kinds = [KINDS[k] for k in kind.tolist()]
+        self.static_cols = {
+            "cid": list(range(total)),
+            "core": core.tolist(),
+            "engine": [k.engine for k in kinds],
+            "kind": kinds,
+            "layer": list(map(operator.attrgetter("layer"), commands)),
+            "tag": list(map(operator.attrgetter("tag"), commands)),
+            "num_bytes": self.num_bytes,
+            "macs": macs.tolist(),
+        }
+        self._protos: Optional[List[Dict[str, object]]] = None
+
+    @property
+    def own_deps_of(self) -> List[Tuple[int, ...]]:
+        """Same-core dependencies of each command (built on first use)."""
+        own = self._own_deps_of
+        if own is None:
+            own = [()] * self.total
+            flat = self.own_flat.tolist()
+            ends = self.own_starts.tolist()[1:] + [len(flat)]
+            for cid, a, b in zip(self.own_cids.tolist(), self.own_starts.tolist(), ends):
+                own[cid] = tuple(flat[a:b])
+            self._own_deps_of = own
+        return own
+
+    @property
+    def trace_fields(self) -> List[Tuple]:
+        """Per-command static TraceEvent fields, as positional tuples."""
+        cols = self.static_cols
+        return list(zip(*(cols[name] for name in STATIC_FIELDS)))
+
+    def protos(self) -> List[Dict[str, object]]:
+        """Per-command static TraceEvent fields as prototype dicts (built
+        on first use); trace materialization copies one and fills the
+        four timing fields."""
+        protos = self._protos
+        if protos is None:
+            protos = [dict(zip(STATIC_FIELDS, tf)) for tf in self.trace_fields]
+            self._protos = protos
+        return protos
 
     def delays_for(self, seed: int) -> List[float]:
         """Per-command durations with this seed's jitter applied.
@@ -329,8 +368,7 @@ def _plan_for(program: Program, npu: NPUConfig) -> _SimPlan:
         setattr(program, _PLAN_ATTR, plans)
     plan = plans.get(npu)
     if plan is None or plan.total != len(program.commands):
-        program.validate()
-        plan = _SimPlan(program, npu)
+        plan = _SimPlan(program.index(), program.commands, npu)
         plans[npu] = plan
     return plan
 

@@ -80,10 +80,12 @@ class TraceColumns:
     """Struct-of-arrays payload of one trace.
 
     ``cids``, ``start``, ``end``, ``own_ready`` and ``dep_ready`` are
-    equal-length parallel sequences in event order.  ``protos`` is
-    indexable by cid and yields the prototype dict of the eight static
-    TraceEvent fields (key order == field order, so a materialized
-    event's ``__dict__`` matches the frozen dataclass layout exactly).
+    equal-length parallel sequences in event order.  ``protos`` is a
+    zero-argument callable returning a sequence indexable by cid that
+    yields the prototype dict of the eight static TraceEvent fields (key
+    order == field order, so a materialized event's ``__dict__`` matches
+    the frozen dataclass layout exactly); it is called only when events
+    are materialized or a column has no ``static`` source.
     ``static`` optionally maps static field names to per-cid sequences
     for cheap column gathers; without it the gather falls back to the
     prototype dicts.
@@ -98,7 +100,7 @@ class TraceColumns:
         end: Sequence[float],
         own_ready: Sequence[float],
         dep_ready: Sequence[float],
-        protos: Sequence[Dict[str, object]],
+        protos: Callable[[], Sequence[Dict[str, object]]],
         static: Optional[Mapping[str, Sequence[object]]] = None,
     ) -> None:
         self.cids = cids
@@ -122,7 +124,7 @@ class TraceColumns:
         if static is not None:
             per_cid = static[name]
             return [per_cid[cid] for cid in self.cids]
-        protos = self.protos
+        protos = self.protos()
         return [protos[cid][name] for cid in self.cids]
 
     def materialize(self) -> List[TraceEvent]:
@@ -132,7 +134,7 @@ class TraceColumns:
         frozen-dataclass ``__init__``/``__setattr__`` machinery -- the
         hottest part of trace assembly at thousands of events per run.
         """
-        protos = self.protos
+        protos = self.protos()
         new = object.__new__
         set_attr = object.__setattr__
         events: List[TraceEvent] = []

@@ -47,15 +47,12 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.analysis.critical_path import (
-    category_of,
-    engine_predecessors,
-    longest_path_times,
-    walk_bindings,
-)
-from repro.compiler.program import CommandKind, Program
-from repro.cost.compute import compute_cycles
+import numpy as np
+
+from repro.analysis.critical_path import binding_chain, category_of
+from repro.compiler.program import KINDS, CommandKind, Program
 from repro.hw.config import NPUConfig
+from repro.sim.simulator import _HALO_CODES, _plan_for, _SimPlan
 from repro.verify.diagnostics import PassResult, Severity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -77,8 +74,6 @@ _REL_TOL = 1e-9
 #: attribute under which per-machine bounds reports are cached on a
 #: Program (sibling of the simulator's ``_sim_plans`` plan cache).
 _BOUNDS_ATTR = "_sim_bounds"
-
-_HALO_KINDS = (CommandKind.HALO_SEND, CommandKind.HALO_RECV)
 
 
 class BoundsViolation(AssertionError):
@@ -180,38 +175,55 @@ class BoundsReport:
         }
 
 
-def _durations(
-    program: Program, npu: NPUConfig, n_dma_queues: int
-) -> Tuple[List[float], List[float], float]:
-    """Per-command (optimistic, pessimistic) durations + total DMA bytes."""
-    n = len(program.commands)
-    lo = [0.0] * n
-    hi = [0.0] * n
-    bw = npu.bus_bytes_per_cycle
-    dram_latency = npu.dram_latency_cycles
+def _durations(plan: _SimPlan, npu: NPUConfig) -> Tuple[List[float], List[float], float, int]:
+    """Per-command (optimistic, pessimistic) durations, the total DMA
+    bytes, and the number of (core, DMA-engine) queues with bus traffic.
+
+    Both start from the plan's base delay -- the simulator's own
+    deterministic service time -- and add the jitter maximum
+    (pessimistic only) and the bus time at full / worst-shared rate.
+    """
+    base = np.array(plan.base_delay)
+    kind = plan.kind_codes
+    joins = np.array(plan.evkind, dtype=bool)
+    n_dma = int(np.count_nonzero(np.bincount(np.array(plan.qid_of, dtype=np.intp)[joins])))
+    jitter = np.where(kind == CommandKind.BARRIER.code, npu.sync_jitter_cycles, 0.0)
+    jitter = np.where(np.isin(kind, _HALO_CODES), npu.halo_jitter_cycles, jitter)
+    lo = base.copy()
+    hi = base + jitter
     total_bytes = 0.0
-    for cmd in program.commands:
-        cid = cmd.cid
-        kind = cmd.kind
-        if kind is CommandKind.COMPUTE:
-            d = compute_cycles(cmd.macs, npu.core(cmd.core))
-            lo[cid] = hi[cid] = d
-        elif kind is CommandKind.BARRIER:
-            lo[cid] = cmd.cycles
-            hi[cid] = cmd.cycles + npu.sync_jitter_cycles
-        else:  # DMA: fixed latency, optional jitter, then the bus.
-            base = dram_latency + cmd.cycles
-            jitter = npu.halo_jitter_cycles if kind in _HALO_KINDS else 0.0
-            lo[cid] = base
-            hi[cid] = base + jitter
-            if cmd.num_bytes > 0:
-                cap = npu.core(cmd.core).dma_bytes_per_cycle
-                full = min(cap, bw)
-                shared = min(cap, bw / n_dma_queues) if n_dma_queues else full
-                lo[cid] += max(0.0, cmd.num_bytes - _LB_BYTE_SLACK) / full
-                hi[cid] += cmd.num_bytes / shared
-                total_bytes += max(0.0, cmd.num_bytes - _LB_BYTE_SLACK)
-    return lo, hi, total_bytes
+    if n_dma:
+        bw = npu.bus_bytes_per_cycle
+        nbytes = np.array(plan.num_bytes_f)[joins]
+        cap = np.array(plan.dma_cap)[joins]
+        moved = np.maximum(0.0, nbytes - _LB_BYTE_SLACK)
+        lo[joins] += moved / np.minimum(cap, bw)
+        hi[joins] += nbytes / np.minimum(cap, bw / n_dma)
+        total_bytes = sum(moved.tolist(), 0.0)
+    return lo.tolist(), hi.tolist(), total_bytes, n_dma
+
+
+def _longest_path(plan: _SimPlan, durations: List[float]) -> Tuple[List[float], List[float]]:
+    """Longest-path (starts, finishes) over dependency and engine-order
+    edges: every command starts at the latest finish among its deps and
+    its in-queue predecessor -- the simulator's start recurrence, with
+    ``durations`` standing in for simulated service times."""
+    n = plan.total
+    starts = [0.0] * n
+    finishes = [0.0] * n
+    for cid, deps, p, d in zip(range(n), plan.deps_of, plan.prev_q, durations):
+        start = 0.0
+        for x in deps:
+            f = finishes[x]
+            if f > start:
+                start = f
+        if p >= 0:
+            f = finishes[p]
+            if f > start:
+                start = f
+        starts[cid] = start
+        finishes[cid] = start + d
+    return starts, finishes
 
 
 def compute_bounds(program: Program, npu: NPUConfig) -> BoundsReport:
@@ -220,11 +232,11 @@ def compute_bounds(program: Program, npu: NPUConfig) -> BoundsReport:
     Seed-independent: the lower bound assumes zero coordination jitter,
     the upper bound the configured jitter maxima, so one bracket holds
     for every seed.  Cost is two O(commands + edges) longest-path
-    sweeps; use :func:`bounds_for` for the per-program cached variant.
+    sweeps over the (shared, cached) simulator plan; use
+    :func:`bounds_for` for the per-program cached variant.
     """
-    program.validate()
-    commands = program.commands
-    if not commands:
+    plan = _plan_for(program, npu)
+    if not plan.total:
         return BoundsReport(
             num_commands=0,
             lower_bound_cycles=0.0,
@@ -239,37 +251,26 @@ def compute_bounds(program: Program, npu: NPUConfig) -> BoundsReport:
             frequency_ghz=npu.frequency_ghz,
         )
 
-    dma_queues = {
-        (cmd.core, cmd.engine)
-        for cmd in commands
-        if cmd.is_dma and cmd.num_bytes > 0
-    }
-    n_dma = len(dma_queues)
-    lo, hi, total_bytes = _durations(program, npu, n_dma)
+    lo, hi, total_bytes, n_dma = _durations(plan, npu)
+    lb_start, lb_finish = _longest_path(plan, lo)
+    _, ub_finish = _longest_path(plan, hi)
 
-    engine_prev = engine_predecessors(program)
-    _, lb_finish, lb_bindings = longest_path_times(program, lo, engine_prev)
-    _, ub_finish, _ = longest_path_times(program, hi, engine_prev)
-
-    last = max(range(len(commands)), key=lambda c: (lb_finish[c], -c))
+    # first maximum: the latest finish, ties to the smallest command id
+    last = int(np.argmax(lb_finish))
     critical = lb_finish[last]
     upper = max(ub_finish)
-
-    queue_work: Dict[Tuple[int, object], float] = {}
-    for cmd in commands:
-        key = (cmd.core, cmd.engine)
-        queue_work[key] = queue_work.get(key, 0.0) + lo[cmd.cid]
-    engine_serial = max(queue_work.values())
+    engine_serial = max(sum([lo[c] for c in cids], 0.0) for cids in plan.qcids)
 
     bw = npu.bus_bytes_per_cycle
     bus_floor = total_bytes / bw if bw > 0 else 0.0
 
     lower = max(critical, engine_serial, bus_floor)
 
-    path = walk_bindings(lb_bindings, last)
+    path = binding_chain(plan.deps_of, plan.prev_q, lb_start, lb_finish, last)
+    kind = plan.kind_codes
     breakdown: Dict[str, float] = {}
     for cid, _bound_by in path:
-        cat = category_of(commands[cid].kind)
+        cat = category_of(KINDS[kind[cid]])
         breakdown[cat] = breakdown.get(cat, 0.0) + lo[cid]
 
     if bus_floor >= lower:
@@ -285,7 +286,7 @@ def compute_bounds(program: Program, npu: NPUConfig) -> BoundsReport:
         binding = max(grouped, key=lambda k: (grouped[k], k))
 
     return BoundsReport(
-        num_commands=len(commands),
+        num_commands=plan.total,
         lower_bound_cycles=lower,
         upper_bound_cycles=upper,
         critical_path_cycles=critical,

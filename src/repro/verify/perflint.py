@@ -261,8 +261,8 @@ def _check_bus_oversubscription(
     :data:`BUS_OVERSUB_FRACTION` of its best-case makespan is leaving
     the bus as its bottleneck.
     """
-    from repro.analysis.critical_path import longest_path_times
-    from repro.verify.bounds import _durations
+    from repro.sim.simulator import _plan_for
+    from repro.verify.bounds import _durations, _longest_path
 
     program = compiled.program
     npu = compiled.npu
@@ -272,11 +272,9 @@ def _check_bus_oversubscription(
     result.stats["bus_oversub_pct"] = 0
     if bw <= 0 or not commands:
         return
-    dma_queues = {
-        (c.core, c.engine) for c in commands if c.is_dma and c.num_bytes > 0
-    }
-    lo, _, _ = _durations(program, npu, len(dma_queues))
-    starts, finishes, _ = longest_path_times(program, lo)
+    plan = _plan_for(program, npu)
+    lo, _, _, _ = _durations(plan, npu)
+    starts, finishes = _longest_path(plan, lo)
     makespan = max(finishes)
     if makespan <= 0:
         return

@@ -5,7 +5,9 @@ reject -- and goes further: it runs a full topological sort over the
 union of dependency edges and per-engine queue order, so a dependency
 cycle that only materialises *through* a hardware queue (command A waits
 on B, while B sits behind A in its engine queue) is detected as the
-deadlock it would be on silicon.
+deadlock it would be on silicon.  The sort is skipped when every
+command's id is its position and every dependency points backward --
+position order is then already a topological order.
 
 Codes:
 
@@ -86,7 +88,8 @@ def check_structure(program: Program) -> PassResult:
                 )
         _check_payload(result, cmd)
 
-    _check_cycles(result, program)
+    if not _ordered_forward(program):
+        _check_cycles(result, program)
     result.stats["commands"] = n
     result.stats["edges"] = sum(len(c.deps) for c in commands)
     return result
@@ -144,6 +147,25 @@ def _check_payload(result: PassResult, cmd) -> None:
             core=cmd.core,
             cid=cmd.cid,
         )
+
+
+def _ordered_forward(program: Program) -> bool:
+    """True when no dependency/queue cycle is possible, so RPR203 cannot
+    fire and Kahn's sort can be skipped.
+
+    Proof: if every command's id equals its position and every dep is
+    smaller than its id, then every dependency edge runs from a smaller
+    position to a larger one (negative deps name no command and add no
+    edge), and so does every engine-queue edge (a queue's previous
+    command sits earlier in the list).  Position order is then a
+    topological order of the edge union, which therefore has no cycle.
+    Reads the raw command list -- not :meth:`Program.index` -- because
+    this pass must also handle programs that fail ``validate()``.
+    """
+    for pos, cmd in enumerate(program.commands):
+        if cmd.cid != pos or (cmd.deps and max(cmd.deps) >= pos):
+            return False
+    return True
 
 
 def _check_cycles(result: PassResult, program: Program) -> None:

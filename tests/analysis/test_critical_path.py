@@ -1,6 +1,8 @@
 """Critical-path extraction."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import critical_path, render_critical_path
 from repro.compiler import CompileOptions, CommandKind, compile_model
@@ -9,6 +11,7 @@ from repro.hw import tiny_test_machine
 from repro.sim import simulate
 
 from tests.conftest import make_mixed_graph
+from tests.sim.test_scheduler_equivalence import random_program
 
 
 class TestHandBuiltChains:
@@ -150,3 +153,24 @@ class TestTieBreaking:
         assert [s.bound_by for s in a.segments] == [
             s.bound_by for s in b2.segments
         ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_program(), st.data())
+def test_binding_chain_equals_walking_every_binding(prog_cores, data):
+    """Deriving bindings only along the chain gives the chain that
+    ``walk_bindings`` reads off a binding per command -- ties included
+    (durations from a tiny set make exact and near-EPS ties common)."""
+    from repro.analysis import engine_predecessors, longest_path_times, walk_bindings
+    from repro.analysis.critical_path import binding_chain
+
+    program, _ = prog_cores
+    n = len(program.commands)
+    durations = data.draw(
+        st.lists(st.sampled_from([0.0, 1.0, 2.0, 2.0 + 1e-7]), min_size=n, max_size=n)
+    )
+    starts, finishes, bindings = longest_path_times(program, durations)
+    last = max(range(n), key=lambda c: (finishes[c], -c))
+    deps_of = [c.deps for c in program.commands]
+    chain = binding_chain(deps_of, engine_predecessors(program), starts, finishes, last)
+    assert chain == walk_bindings(bindings, last)

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.compiler import CompileOptions
+from repro.compiler.program import CommandKind
 from repro.faults import CoreOffline, FaultPlan, ThermalThrottle, TransientStall
 from repro.faults.engine import simulate_faulted
 from repro.models import ZOO
@@ -131,3 +132,92 @@ class TestSession:
         assert second.completed_at_cycles == first.completed_at_cycles
         assert self._events(second.trace) == self._events(first.trace)
         assert second.origin_us == 9000.5
+
+
+def test_plan_holds_no_reference_to_its_program():
+    """Programs cache their plans; a reference back would make every
+    program a garbage cycle that outlives its last user."""
+    import gc
+
+    from repro.sim.simulator import _plan_for
+
+    program, machine = _program_for("MobileNetV2", CONFIGS[1])
+    plan = _plan_for(program, machine)
+    referents = gc.get_referents(plan) + list(plan.static_cols.values())
+    assert not any(r is program or r is program.commands for r in referents)
+
+
+def _loop_plan(program, npu):
+    """The per-command derivation the array-built plan replaced: the
+    reference its fields must equal exactly."""
+    from repro.cost.compute import compute_cycles
+
+    commands = program.commands
+    queues = {}
+    for cmd in commands:
+        queues.setdefault((cmd.core, cmd.engine), []).append(cmd.cid)
+    qid_of = [0] * len(commands)
+    prev_q = [-1] * len(commands)
+    for qid, cids in enumerate(queues.values()):
+        for i, cid in enumerate(cids):
+            qid_of[cid] = qid
+            if i:
+                prev_q[cid] = cids[i - 1]
+    consumers = [[] for _ in commands]
+    base, cap, jittered = [], [], []
+    for cmd in commands:
+        for dep in cmd.deps:
+            consumers[dep].append(cmd.cid)
+        if cmd.kind is CommandKind.COMPUTE:
+            base.append(compute_cycles(cmd.macs, npu.core(cmd.core)))
+            cap.append(0.0)
+        elif cmd.kind is CommandKind.BARRIER:
+            base.append(cmd.cycles)
+            cap.append(0.0)
+            if npu.sync_jitter_cycles > 0:
+                jittered.append((cmd.cid, npu.sync_jitter_cycles))
+        else:
+            base.append(npu.dram_latency_cycles + cmd.cycles)
+            cap.append(npu.core(cmd.core).dma_bytes_per_cycle)
+            halo = cmd.kind in (CommandKind.HALO_SEND, CommandKind.HALO_RECV)
+            if halo and npu.halo_jitter_cycles > 0:
+                jittered.append((cmd.cid, npu.halo_jitter_cycles))
+    return {
+        "qcids": list(queues.values()),
+        "qid_of": qid_of,
+        "prev_q": prev_q,
+        "consumers": consumers,
+        "indeg0": [len(c.deps) for c in commands],
+        "own_deps_of": [
+            tuple(d for d in c.deps if commands[d].core == c.core) for c in commands
+        ],
+        "base_delay": base,
+        "dma_cap": cap,
+        "evkind": [int(c.is_dma and c.num_bytes > 0) for c in commands],
+        "jittered": jittered,
+        "trace_fields": [
+            (c.cid, c.core, c.engine, c.kind, c.layer, c.tag, c.num_bytes, c.macs)
+            for c in commands
+        ],
+    }
+
+
+def _assert_plan_matches_loop(program, npu):
+    from repro.sim.simulator import _SimPlan
+
+    plan = _SimPlan(program.index(), program.commands, npu)
+    for name, expected in _loop_plan(program, npu).items():
+        assert getattr(plan, name) == expected, name
+
+
+@pytest.mark.parametrize("options", CONFIGS, ids=[o.label for o in CONFIGS])
+def test_zoo_plan_matches_per_command_derivation(options):
+    program, machine = _program_for("InceptionV3", options)
+    _assert_plan_matches_loop(program, machine)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_program())
+def test_random_plan_matches_per_command_derivation(prog_cores):
+    program, cores = prog_cores
+    _assert_plan_matches_loop(program, _jittery_machine(cores))

@@ -72,6 +72,29 @@ def test_random_programs_bracketed(prog_cores):
     assert report.contains(event.makespan_cycles)
 
 
+@settings(max_examples=60, deadline=None)
+@given(random_program())
+def test_plan_longest_path_equals_the_program_walk(prog_cores):
+    """The bounds' longest path over the simulator plan (queues, edges)
+    gives the starts and finishes of the walk over ``Command`` objects,
+    and the reported path is the one that walk's bindings give from the
+    latest-finishing command (ties to the smallest id)."""
+    from repro.analysis import longest_path_times, walk_bindings
+    from repro.sim.simulator import _plan_for
+    from repro.verify.bounds import _durations, _longest_path
+
+    program, cores = prog_cores
+    npu = _jittery_machine(cores)
+    plan = _plan_for(program, npu)
+    lo, hi, _, _ = _durations(plan, npu)
+    for durations in (lo, hi):
+        assert _longest_path(plan, durations) == longest_path_times(program, durations)[:2]
+    _, finishes, bindings = longest_path_times(program, lo)
+    last = max(range(len(finishes)), key=lambda c: (finishes[c], -c))
+    path = tuple(cid for cid, _ in walk_bindings(bindings, last))
+    assert compute_bounds(program, npu).path_cids == path
+
+
 # ---- tightness regression pins (seed 0, Base) -----------------------
 
 # Measured sim/lb at the time the bounds landed, +5% headroom.  A pin

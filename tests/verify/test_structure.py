@@ -1,7 +1,13 @@
 """Structure pass: RPR2xx on hand-built broken programs."""
 
+import pytest
+
 from repro.compiler.program import Command, CommandKind, Program
+from repro.models import ZOO
 from repro.verify import Severity, check_structure
+from repro.verify import structure
+
+from tests.sim.test_scheduler_equivalence import CONFIGS, _program_for
 
 
 def prog(*commands, num_cores=2):
@@ -120,3 +126,47 @@ class TestDeadlock:
             )
         )
         assert "RPR203" not in codes(result)
+
+
+class TestKahnShortcut:
+    """Kahn's sort runs only when position order might not be a
+    topological order (see ``structure._ordered_forward``)."""
+
+    def test_forward_edges_only_skip_the_sort(self):
+        ordered = prog(
+            Command(cid=0, core=0, kind=CommandKind.COMPUTE, macs=1),
+            Command(cid=1, core=0, kind=CommandKind.COMPUTE, deps=(0, -3), macs=1),
+        )
+        assert structure._ordered_forward(ordered)
+
+    @pytest.mark.parametrize(
+        "commands",
+        [
+            # a forward dependency
+            (
+                Command(cid=0, core=0, kind=CommandKind.COMPUTE, deps=(1,), macs=1),
+                Command(cid=1, core=1, kind=CommandKind.COMPUTE, macs=1),
+            ),
+            # a self dependency
+            (Command(cid=0, core=0, kind=CommandKind.COMPUTE, deps=(0,), macs=1),),
+            # ids that are not positions
+            (
+                Command(cid=1, core=0, kind=CommandKind.COMPUTE, macs=1),
+                Command(cid=0, core=0, kind=CommandKind.COMPUTE, deps=(1,), macs=1),
+            ),
+        ],
+        ids=["forward", "self", "permuted"],
+    )
+    def test_anything_else_runs_the_sort(self, commands):
+        assert not structure._ordered_forward(prog(*commands))
+
+    @pytest.mark.parametrize("options", CONFIGS, ids=[o.label for o in CONFIGS])
+    @pytest.mark.parametrize("model", [m.name for m in ZOO])
+    def test_zoo_result_identical_with_and_without_shortcut(
+        self, model, options, monkeypatch
+    ):
+        program, _ = _program_for(model, options)
+        assert structure._ordered_forward(program)
+        shortcut = check_structure(program)
+        monkeypatch.setattr(structure, "_ordered_forward", lambda program: False)
+        assert check_structure(program) == shortcut
